@@ -34,13 +34,6 @@ use cluster_study::study::{CellOutcome, StudyEvent, StudySpec, CLUSTER_SIZES};
 fn main() {
     let cli = Cli::parse();
     let apps: Vec<&str> = FIG2_APPS.iter().copied().filter(|a| cli.wants(a)).collect();
-    if cli.validate_sampling {
-        // Sampled-vs-full validation harness instead of the study:
-        // exits non-zero when any strategy exceeds its error bound.
-        std::process::exit(cluster_bench::sampling::run_validation(&cli, &apps));
-    }
-    let sampling = cli.sample_spec();
-    let sampling_label = sampling.map(|s| s.key_label());
     println!(
         "paper_run: {} apps x {} cluster sizes x 4 caches, {} procs, {} sizes, {} jobs\n",
         apps.len(),
@@ -49,14 +42,6 @@ fn main() {
         cli.size_label(),
         cli.jobs
     );
-    if let Some(s) = &sampling {
-        println!(
-            "sampling: {} intervals at rate {}, warmup {} ops (estimates carry error bounds)\n",
-            s.mode.label(),
-            s.rate,
-            s.warmup_ops
-        );
-    }
 
     // The whole matrix through the pipelined executor; completed
     // items log as they finish, so the gen/sim interleave is visible.
@@ -64,15 +49,7 @@ fn main() {
     let cache = open_cache(&cli);
     let mut from_cache = cache
         .as_ref()
-        .map(|store| {
-            cache_prefill(
-                store,
-                &apps,
-                cli.size_label(),
-                cli.procs,
-                sampling_label.as_deref(),
-            )
-        })
+        .map(|store| cache_prefill(store, &apps, cli.size_label(), cli.procs))
         .unwrap_or_default();
     // A remote result server outranks local work: stream the matrix
     // over the v2 cursor protocol and treat every streamed cell as a
@@ -89,14 +66,11 @@ fn main() {
     }
     let sink = cache
         .as_ref()
-        .map(|store| cache_sink(store, cli.size_label(), cli.procs, sampling_label.clone()));
+        .map(|store| cache_sink(store, cli.size_label(), cli.procs));
     let run = {
         let mut spec = StudySpec::generate(&apps, cli.size, cli.procs)
             .jobs(cli.jobs)
             .policy(cli.policy());
-        if let Some(s) = sampling {
-            spec = spec.sampling(s);
-        }
         if let Some((j, prefill)) = &journal {
             spec = spec.checkpoint(j).prefill(prefill.clone());
         }
@@ -177,7 +151,6 @@ fn main() {
                 wall,
                 status,
                 attempts,
-                sampling,
                 ..
             } = &cell.outcome
             {
@@ -189,15 +162,14 @@ fn main() {
                     wall: *wall,
                     status: *status,
                     attempts: *attempts,
-                    sampling: *sampling,
+                    sampling: None,
                 };
-                let key = store.key_sampled(
+                let key = store.key(
                     &entry.app,
                     cli.size_label(),
                     cli.procs,
                     &entry.cache,
                     entry.cluster,
-                    sampling_label.as_deref(),
                 );
                 if let Err(e) = store.record(&key, cli.size_label(), cli.procs, &entry) {
                     eprintln!("[cache: backfill failed for {}: {e}]", entry.app);

@@ -12,12 +12,10 @@ use cluster_study::parallel::RunPolicy;
 use cluster_study::study::ClusterSweep;
 use cluster_study::{Journal, JournalEntry};
 use simcore::fault::FaultPlan;
-use simcore::sample::{SampleError, SampleMode, SampleSpec};
 use simcore::stats::RunStats;
 use splash::ProblemSize;
 use std::time::Duration;
 
-pub mod sampling;
 pub mod timer;
 
 /// Output format for the machine-readable artifact. Text (the
@@ -83,23 +81,6 @@ pub struct Cli {
     /// (paper_run). Streamed cells prefill the study like `--cache`
     /// hits; the server simulates whatever its store is missing.
     pub serve: Option<String>,
-    /// `--sample MODE`: replay only sampled intervals
-    /// (`periodic|reservoir|phase`) instead of the full trace.
-    pub sample: Option<SampleMode>,
-    /// `--sample-rate R`: fraction of intervals measured, in `(0, 1]`
-    /// (default [`simcore::sample::DEFAULT_RATE`]). Needs `--sample`
-    /// or `--validate-sampling`.
-    pub sample_rate: Option<f64>,
-    /// `--warmup-ops K`: ops replayed for cache state before each
-    /// measured region, excluded from statistics (default
-    /// [`simcore::sample::DEFAULT_WARMUP_OPS`]). Needs `--sample` or
-    /// `--validate-sampling`.
-    pub warmup_ops: Option<u64>,
-    /// `--validate-sampling`: run the sampled-vs-full validation
-    /// harness over every strategy instead of the normal study, and
-    /// record per-metric max relative errors in
-    /// `results/sampling_validation.json` (paper_run).
-    pub validate_sampling: bool,
 }
 
 /// A parse failure (or `--help` request) from [`Cli::parse_from`]:
@@ -162,10 +143,6 @@ impl Cli {
         let mut resume = false;
         let mut cache = None;
         let mut serve = None;
-        let mut sample = None;
-        let mut sample_rate = None;
-        let mut warmup_ops = None;
-        let mut validate_sampling = false;
         let mut args = args;
         while let Some(a) = args.next() {
             match a.as_str() {
@@ -224,31 +201,6 @@ impl Cli {
                     ));
                 }
                 "--resume" => resume = true,
-                "--sample" => {
-                    let v = args
-                        .next()
-                        .ok_or_else(|| fail("--sample needs periodic|reservoir|phase"))?;
-                    sample =
-                        Some(SampleMode::parse(&v).map_err(|e: SampleError| fail(&e.to_string()))?);
-                }
-                "--sample-rate" => {
-                    let r: f64 = args
-                        .next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or_else(|| fail("--sample-rate needs a number in (0, 1]"))?;
-                    if !(r > 0.0 && r <= 1.0) {
-                        return Err(fail(&SampleError::RateOutOfRange(r).to_string()));
-                    }
-                    sample_rate = Some(r);
-                }
-                "--warmup-ops" => {
-                    warmup_ops = Some(
-                        args.next()
-                            .and_then(|v| v.parse().ok())
-                            .ok_or_else(|| fail("--warmup-ops needs a number"))?,
-                    );
-                }
-                "--validate-sampling" => validate_sampling = true,
                 "--cache" => {
                     cache = Some(PathBuf::from(
                         args.next()
@@ -273,20 +225,6 @@ impl Cli {
         if resume && checkpoint.is_none() {
             return Err(fail("--resume needs --checkpoint"));
         }
-        if serve.is_some() && sample.is_some() {
-            // Sampled cells live under sampling-qualified store keys;
-            // the wire spec has no sampling field, so a server can
-            // only ever answer full-trace cells.
-            return Err(fail("--serve cannot be combined with --sample"));
-        }
-        if sample.is_none() && !validate_sampling {
-            if sample_rate.is_some() {
-                return Err(fail("--sample-rate needs --sample"));
-            }
-            if warmup_ops.is_some() {
-                return Err(fail("--warmup-ops needs --sample"));
-            }
-        }
         Ok(Cli {
             size,
             procs,
@@ -301,24 +239,7 @@ impl Cli {
             resume,
             cache,
             serve,
-            sample,
-            sample_rate,
-            warmup_ops,
-            validate_sampling,
         })
-    }
-
-    /// The sampling spec `--sample`/`--sample-rate`/`--warmup-ops`
-    /// ask for; `None` without `--sample` (a full-trace run).
-    pub fn sample_spec(&self) -> Option<SampleSpec> {
-        let mut spec = SampleSpec::new(self.sample?);
-        if let Some(r) = self.sample_rate {
-            spec.rate = r;
-        }
-        if let Some(w) = self.warmup_ops {
-            spec.warmup_ops = w;
-        }
-        Some(spec)
     }
 
     /// The execution policy the flags ask for: retry budget, soft
@@ -369,8 +290,6 @@ fn usage_text(tool: &str) -> String {
          \u{20}            [--format text|json|csv] [--out PATH] [--emit-manifest]\n\
          \u{20}            [--retries N] [--timeout-secs X]\n\
          \u{20}            [--checkpoint PATH] [--resume] [--cache DIR] [--serve ADDR]\n\
-         \u{20}            [--sample periodic|reservoir|phase] [--sample-rate R]\n\
-         \u{20}            [--warmup-ops K] [--validate-sampling]\n\
          \n\
          --paper          paper problem sizes (default)\n\
          --small          reduced sizes for quick runs\n\
@@ -393,16 +312,7 @@ fn usage_text(tool: &str) -> String {
          --cache          serve already-simulated cells from (and record new\n\
          \u{20}                cells into) a cluster_serve result store (paper_run)\n\
          --serve          stream matrix cells from a running cluster_serve TCP\n\
-         \u{20}                server via the v2 cursor protocol (paper_run)\n\
-         --sample         replay only sampled intervals with the given\n\
-         \u{20}                strategy instead of the full trace\n\
-         --sample-rate    fraction of intervals measured, in (0, 1]\n\
-         \u{20}                (default 0.25; needs --sample)\n\
-         --warmup-ops     ops replayed for cache state before each measured\n\
-         \u{20}                region, excluded from stats (needs --sample)\n\
-         --validate-sampling\n\
-         \u{20}                run sampled-vs-full over every strategy and\n\
-         \u{20}                record max relative errors (paper_run)"
+         \u{20}                server via the v2 cursor protocol (paper_run)"
     )
 }
 
@@ -468,21 +378,17 @@ pub fn open_cache(cli: &Cli) -> Option<ResultStore> {
 /// The store's entries covering `apps` × the Section 5 study matrix,
 /// ready for [`cluster_study::study::StudySpec::cache_prefill`]: each
 /// is served as a `cache_hit` cell instead of re-simulating.
-/// `sampling` is the run's `SampleSpec::key_label` (sampled and full
-/// results live under distinct keys and never substitute for each
-/// other).
 pub fn cache_prefill(
     store: &ResultStore,
     apps: &[&str],
     size: &str,
     procs: usize,
-    sampling: Option<&str>,
 ) -> Vec<JournalEntry> {
     let mut out = Vec::new();
     for &app in apps {
         for cache in cluster_study::study::section5_caches() {
             for &cluster in &cluster_study::study::CLUSTER_SIZES {
-                let key = store.key_sampled(app, size, procs, &cache.label(), cluster, sampling);
+                let key = store.key(app, size, procs, &cache.label(), cluster);
                 if let Some(e) = store.peek(&key) {
                     out.push(e.cell);
                 }
@@ -566,23 +472,14 @@ pub fn serve_prefill(
 /// A study `on_complete` sink durably recording every freshly
 /// simulated cell into the result store as it finishes — the
 /// client-side twin of the server's append-on-compute, so a killed
-/// study still leaves its completed prefix cached. `sampling` must be
-/// the same key label the prefill used.
+/// study still leaves its completed prefix cached.
 pub fn cache_sink<'a>(
     store: &'a ResultStore,
     size: &'a str,
     procs: usize,
-    sampling: Option<String>,
 ) -> impl Fn(&JournalEntry) + Sync + 'a {
     move |entry: &JournalEntry| {
-        let key = store.key_sampled(
-            &entry.app,
-            size,
-            procs,
-            &entry.cache,
-            entry.cluster,
-            sampling.as_deref(),
-        );
+        let key = store.key(&entry.app, size, procs, &entry.cache, entry.cluster);
         if let Err(e) = store.record(&key, size, procs, entry) {
             eprintln!(
                 "[cache: failed to record {}/{}/{}: {e}]",
@@ -660,7 +557,6 @@ impl Reporter {
                 attempts,
                 resumed,
                 cached,
-                sampling,
             } = &cell.outcome
             {
                 let served_by = match (cached, resumed) {
@@ -677,7 +573,6 @@ impl Reporter {
                     *status,
                     *attempts,
                     served_by,
-                    *sampling,
                 );
             }
         }
@@ -812,10 +707,6 @@ mod tests {
             resume: false,
             cache: None,
             serve: None,
-            sample: None,
-            sample_rate: None,
-            warmup_ops: None,
-            validate_sampling: false,
         }
     }
 

@@ -216,12 +216,24 @@ fn help_returns_usage_with_no_error_message() {
 
 #[test]
 fn unknown_flag_is_an_error_naming_the_flag() {
-    let err = parse(&["--bogus"]).unwrap_err();
-    assert_eq!(err.message.as_deref(), Some("unknown flag --bogus"));
-    // Display of a real error carries both the message and the usage.
-    let shown = format!("{err}");
-    assert!(shown.starts_with("error: unknown flag --bogus\n"));
-    assert!(shown.contains("usage: testtool "));
+    // The sampled-replay flags were removed; they are unknown flags
+    // like any other, and the usage text no longer lists them.
+    for flag in [
+        "--bogus",
+        "--sample",
+        "--sample-rate",
+        "--warmup-ops",
+        "--validate-sampling",
+    ] {
+        let err = parse(&[flag]).unwrap_err();
+        let expected = format!("unknown flag {flag}");
+        assert_eq!(err.message.as_deref(), Some(expected.as_str()));
+        // Display of a real error carries both the message and the usage.
+        let shown = format!("{err}");
+        assert!(shown.starts_with(&format!("error: {expected}\n")));
+        assert!(shown.contains("usage: testtool "));
+        assert!(!err.usage.contains(flag), "usage still lists {flag}");
+    }
 }
 
 #[test]
@@ -277,105 +289,4 @@ fn flags_combine_in_any_order() {
     assert_eq!(cli.procs, 8);
     assert_eq!(cli.out, Some(PathBuf::from("x.csv")));
     assert!(cli.emit_manifest);
-}
-
-#[test]
-fn sample_flag_parses_every_strategy_and_rejects_unknown_modes() {
-    use simcore::sample::SampleMode;
-    assert_eq!(parse(&[]).unwrap().sample, None);
-    assert_eq!(parse(&[]).unwrap().sample_spec(), None);
-    for (name, mode) in [
-        ("periodic", SampleMode::Periodic),
-        ("reservoir", SampleMode::Reservoir),
-        ("phase", SampleMode::PhaseDetect),
-    ] {
-        let cli = parse(&["--sample", name]).unwrap();
-        assert_eq!(cli.sample, Some(mode));
-        let spec = cli.sample_spec().expect("--sample implies a spec");
-        assert_eq!(spec.mode, mode);
-        assert_eq!(spec.rate, simcore::sample::DEFAULT_RATE);
-        assert_eq!(spec.warmup_ops, simcore::sample::DEFAULT_WARMUP_OPS);
-    }
-    let err = parse(&["--sample"]).unwrap_err();
-    assert_eq!(
-        err.message.as_deref(),
-        Some("--sample needs periodic|reservoir|phase")
-    );
-    // Unknown modes surface the typed SampleError, naming the input.
-    let err = parse(&["--sample", "stratified"]).unwrap_err();
-    assert_eq!(
-        err.message.as_deref(),
-        Some("unknown sampling mode `stratified` (periodic|reservoir|phase)")
-    );
-}
-
-#[test]
-fn sample_rate_must_be_a_number_in_unit_interval() {
-    let cli = parse(&["--sample", "periodic", "--sample-rate", "0.5"]).unwrap();
-    assert_eq!(cli.sample_rate, Some(0.5));
-    assert_eq!(cli.sample_spec().unwrap().rate, 0.5);
-    // Rate 1.0 is legal (degenerates to the full replay)...
-    assert!(parse(&["--sample", "periodic", "--sample-rate", "1.0"]).is_ok());
-    // ...but 0, negatives, >1, and non-numbers are typed errors.
-    for bad in ["0", "0.0", "-0.25", "1.5", "2"] {
-        let err = parse(&["--sample", "periodic", "--sample-rate", bad]).unwrap_err();
-        let msg = err.message.unwrap();
-        assert!(
-            msg.contains("not in (0, 1]"),
-            "rate {bad}: wrong error {msg}"
-        );
-    }
-    let err = parse(&["--sample", "periodic", "--sample-rate", "fast"]).unwrap_err();
-    assert_eq!(
-        err.message.as_deref(),
-        Some("--sample-rate needs a number in (0, 1]")
-    );
-}
-
-#[test]
-fn warmup_ops_parses_a_count() {
-    let cli = parse(&["--sample", "phase", "--warmup-ops", "4096"]).unwrap();
-    assert_eq!(cli.warmup_ops, Some(4096));
-    assert_eq!(cli.sample_spec().unwrap().warmup_ops, 4096);
-    let err = parse(&["--sample", "phase", "--warmup-ops", "-3"]).unwrap_err();
-    assert_eq!(err.message.as_deref(), Some("--warmup-ops needs a number"));
-}
-
-#[test]
-fn sampling_tuning_flags_require_a_sampling_context() {
-    let err = parse(&["--sample-rate", "0.5"]).unwrap_err();
-    assert_eq!(err.message.as_deref(), Some("--sample-rate needs --sample"));
-    let err = parse(&["--warmup-ops", "128"]).unwrap_err();
-    assert_eq!(err.message.as_deref(), Some("--warmup-ops needs --sample"));
-    // --validate-sampling sweeps every strategy itself, so it lifts
-    // the --sample requirement for the tuning flags.
-    let cli = parse(&[
-        "--validate-sampling",
-        "--sample-rate",
-        "0.5",
-        "--warmup-ops",
-        "64",
-    ])
-    .unwrap();
-    assert!(cli.validate_sampling);
-    assert_eq!(cli.sample_rate, Some(0.5));
-    assert_eq!(cli.warmup_ops, Some(64));
-    assert_eq!(
-        cli.sample_spec(),
-        None,
-        "validation alone is not a sampled run"
-    );
-}
-
-#[test]
-fn usage_lists_the_sampling_flags() {
-    let usage = parse(&["--help"]).unwrap_err().usage;
-    for needle in [
-        "--sample periodic|reservoir|phase",
-        "--sample-rate R",
-        "--warmup-ops K",
-        "--validate-sampling",
-    ] {
-        assert!(usage.contains(needle), "usage missing {needle}: {usage}");
-    }
 }

@@ -21,9 +21,7 @@
 //! |              | (`manifest.rs`, `parallel.rs`) against             |
 //! |              | `crates/bench/tests/manifest_schema.rs`, the serve |
 //! |              | protocol writer (`serve/src/protocol.rs`) against  |
-//! |              | `crates/serve/tests/protocol.rs`, the sampling     |
-//! |              | writer (`simcore/src/sample.rs`) against           |
-//! |              | `crates/simcore/tests/prop_sample.rs`, and the     |
+//! |              | `crates/serve/tests/protocol.rs`, and the          |
 //! |              | race/certificate writers (`simcore/src/witness.rs`,|
 //! |              | `simcore/src/ops.rs`) against                      |
 //! |              | `crates/check/tests/schema_race.rs`                |
@@ -296,21 +294,13 @@ struct SchemaPair {
 /// Every schema the workspace promises to keep in sync with a golden
 /// test. Manifest exemptions: error-path fields only present on
 /// faulted runs, a conditionally-emitted timing diagnostic, and
-/// (golden side) a tool-specific metric registered by the caller plus
-/// the warm-cycle fields of the embedded `sampling` object, which the
-/// sampling writer emits and its own golden pins — the manifest
-/// golden reads them back only to close the cycle-coverage sum.
-const SCHEMA_PAIRS: [SchemaPair; 4] = [
+/// (golden side) a tool-specific metric registered by the caller.
+const SCHEMA_PAIRS: [SchemaPair; 3] = [
     SchemaPair {
         writers: &["crates/core/src/manifest.rs", "crates/core/src/parallel.rs"],
         golden: "crates/bench/tests/manifest_schema.rs",
         writer_exempt: &["phase", "error", "serial_baseline_seconds"],
-        golden_exempt: &[
-            "simulations",
-            "warm_cpu_cycles",
-            "warm_load_cycles",
-            "warm_merge_cycles",
-        ],
+        golden_exempt: &["simulations"],
         what: "manifest writer",
     },
     SchemaPair {
@@ -319,13 +309,6 @@ const SCHEMA_PAIRS: [SchemaPair; 4] = [
         writer_exempt: &[],
         golden_exempt: &[],
         what: "serve protocol writer",
-    },
-    SchemaPair {
-        writers: &["crates/simcore/src/sample.rs"],
-        golden: "crates/simcore/tests/prop_sample.rs",
-        writer_exempt: &[],
-        golden_exempt: &[],
-        what: "sampling writer",
     },
     SchemaPair {
         writers: &["crates/simcore/src/witness.rs", "crates/simcore/src/ops.rs"],

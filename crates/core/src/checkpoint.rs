@@ -35,7 +35,6 @@ use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use simcore::sample::SamplingStats;
 use simcore::stats::{Breakdown, MissStats, RunStats};
 use simcore::Json;
 
@@ -152,11 +151,12 @@ pub struct JournalEntry {
     pub status: RunStatus,
     /// Attempts the original execution took.
     pub attempts: u32,
-    /// Sampling provenance when the run was sampled; `None` for a
-    /// full-trace run. A journaled sampled result is only
-    /// interchangeable with a re-execution under the *same* sampling
-    /// spec, so resume filters on this.
-    pub sampling: Option<SamplingStats>,
+    /// The verbatim `sampling` block of an entry written by the
+    /// removed sampled-replay mode, kept so such a line is written
+    /// back unchanged. Nothing sets it any more; an entry that carries
+    /// one is not a full-trace result, so resume and cache prefill
+    /// re-execute its cell instead of restoring it.
+    pub sampling: Option<Json>,
 }
 
 impl JournalEntry {
@@ -179,7 +179,7 @@ impl JournalEntry {
             e.push("wall_seconds", w.as_secs_f64());
         }
         if let Some(s) = &self.sampling {
-            e.push("sampling", s.to_json());
+            e.push("sampling", s.clone());
         }
         e.push("exec_time", self.stats.exec_time);
         e.push(
@@ -287,7 +287,7 @@ impl JournalEntry {
                 .map(Duration::from_secs_f64),
             status,
             attempts: u64_field(j, "attempts")? as u32,
-            sampling: j.get("sampling").and_then(SamplingStats::from_json),
+            sampling: j.get("sampling").cloned(),
         })
     }
 }
@@ -580,27 +580,7 @@ mod tests {
         let back = JournalEntry::from_json(&no_wall.to_json()).unwrap();
         assert_eq!(back, no_wall);
         let sampled = JournalEntry {
-            sampling: Some(SamplingStats {
-                mode: simcore::sample::SampleMode::Reservoir,
-                rate: 0.25,
-                warmup_ops: 2048,
-                interval_ops: 256,
-                seed: 42,
-                ops_total: 10_000,
-                ops_measured: 2_500,
-                ops_warm: 1_500,
-                weight_total: 30_000,
-                weight_measured: 7_500,
-                weight_warm: 4_500,
-                warm_read_hits: 900,
-                warm_read_misses: 100,
-                warm_write_hits: 300,
-                warm_write_misses: 40,
-                warm_upgrade_misses: 7,
-                warm_cpu_cycles: 6_000,
-                warm_load_cycles: 2_500,
-                warm_merge_cycles: 125,
-            }),
+            sampling: Some(Json::obj().with("mode", "reservoir").with("rate", 0.25)),
             ..entry("ocean", 4, 1000)
         };
         let back = JournalEntry::from_json(&sampled.to_json()).unwrap();

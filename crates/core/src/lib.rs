@@ -40,6 +40,6 @@ pub use parallel::{
     PipelineRun, RunPolicy, RunStatus,
 };
 pub use study::{
-    run_config, run_config_sampled, CapacitySweep, CellOutcome, ClusterSweep, GenOutcome,
-    StudyCell, StudyEvent, StudyRun, StudySpec,
+    run_config, CapacitySweep, CellOutcome, ClusterSweep, GenOutcome, StudyCell, StudyEvent,
+    StudyRun, StudySpec,
 };

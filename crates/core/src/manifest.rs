@@ -44,22 +44,14 @@
 //! unknown full-view fields as ignorable (the §9 `schema_version`
 //! negotiation note in DESIGN.md).
 //!
-//! The sampling layer (`simcore::sample`, DESIGN.md §13) added three
-//! more v2-additive per-run objects, present only when the run was
-//! sampled: `sampling` (mode, rate, warmup, ops_simulated/ops_total
-//! provenance), `estimates` (full-run metric estimates extrapolated
-//! from the measured intervals) and `error_bounds` (the relative
-//! error each estimate is validated to stay inside — see
-//! `results/sampling_validation.json`). They describe *how* the
-//! statistics were obtained, not the simulated machine, so they live
-//! in the full view only; an unsampled run's records carry none of
-//! the three keys.
+//! A `sampling` object in a run's full view is the verbatim block of
+//! a result written by the sampled-replay mode removed in DESIGN.md
+//! §13; nothing writes a new one, and full-trace runs carry none.
 
 use std::io::Write as _;
 use std::path::Path;
 use std::time::Duration;
 
-use simcore::sample::{self, SamplingStats};
 use simcore::stats::RunStats;
 use simcore::{Json, Metrics};
 
@@ -147,11 +139,10 @@ pub struct RunRecord {
     /// Where the result came from: fresh simulation, result cache, or
     /// checkpoint journal. Full view only, like `wall` and `status`.
     pub served_by: ServedBy,
-    /// Sampling provenance when the run replayed only selected
-    /// intervals; `None` for a full-trace run. Serialized (with its
-    /// derived `estimates` and `error_bounds` objects) in the full
-    /// view only.
-    pub sampling: Option<SamplingStats>,
+    /// The verbatim `sampling` block of a result written by the
+    /// removed sampled-replay mode; never set by this crate, and
+    /// serialized unchanged in the full view only.
+    pub sampling: Option<Json>,
 }
 
 /// One permanently failed work item: recorded in the manifest's
@@ -252,22 +243,7 @@ impl RunRecord {
             run.push("cache_hit", self.served_by.is_cache_hit());
             run.push("served_by", self.served_by.label());
             if let Some(s) = &self.sampling {
-                run.push("sampling", s.to_json());
-                run.push(
-                    "estimates",
-                    Json::obj()
-                        .with(
-                            "exec_time_cycles",
-                            s.estimated_exec_time(self.stats.exec_time),
-                        )
-                        .with("read_miss_rate", s.estimated_read_miss_rate(mem)),
-                );
-                run.push(
-                    "error_bounds",
-                    Json::obj()
-                        .with("exec_time_cycles", sample::EXEC_TIME_BOUND)
-                        .with("read_miss_rate", sample::MISS_RATE_BOUND),
-                );
+                run.push("sampling", s.clone());
             }
         }
         run
@@ -418,7 +394,6 @@ impl Manifest {
             RunStatus::Ok,
             1,
             ServedBy::Sim,
-            None,
         );
     }
 
@@ -436,7 +411,6 @@ impl Manifest {
         status: RunStatus,
         attempts: u32,
         served_by: ServedBy,
-        sampling: Option<SamplingStats>,
     ) {
         self.runs.push(RunRecord {
             app: app.to_string(),
@@ -447,7 +421,7 @@ impl Manifest {
             status,
             attempts,
             served_by,
-            sampling,
+            sampling: None,
         });
     }
 
@@ -723,7 +697,6 @@ mod tests {
             RunStatus::Retried,
             3,
             ServedBy::Cache,
-            None,
         );
         m.record_error(
             "ocean",
@@ -768,74 +741,6 @@ mod tests {
         );
     }
 
-    /// A sampled run's record carries sampling / estimates /
-    /// error_bounds in the full view only; the deterministic stats
-    /// view and unsampled records carry none of the three keys.
-    #[test]
-    fn sampling_fields_live_in_full_view_only() {
-        use simcore::sample::SampleMode;
-        let s = SamplingStats {
-            mode: SampleMode::Periodic,
-            rate: 0.25,
-            warmup_ops: 2048,
-            interval_ops: 256,
-            seed: 7,
-            ops_total: 4000,
-            ops_measured: 1000,
-            ops_warm: 600,
-            weight_total: 8000,
-            weight_measured: 2000,
-            weight_warm: 0,
-            warm_read_hits: 0,
-            warm_read_misses: 0,
-            warm_write_hits: 0,
-            warm_write_misses: 0,
-            warm_upgrade_misses: 0,
-            warm_cpu_cycles: 0,
-            warm_load_cycles: 0,
-            warm_merge_cycles: 0,
-        };
-        let mut m = Manifest::new("t", "small", 8, 2);
-        m.record_outcome(
-            "lu",
-            "inf",
-            1,
-            &fake_stats(100),
-            None,
-            RunStatus::Ok,
-            1,
-            ServedBy::Sim,
-            Some(s),
-        );
-        m.record_run("lu", "inf", 2, &fake_stats(90), None);
-        let full = m.to_json();
-        let stats = m.stats_json().to_string();
-        for key in ["\"sampling\"", "\"estimates\"", "\"error_bounds\""] {
-            assert!(!stats.contains(key), "{key} leaked into the stats view");
-        }
-        let runs = full.get("runs").and_then(Json::as_arr).unwrap();
-        let sj = runs[0].get("sampling").unwrap();
-        assert_eq!(sj.get("mode").and_then(Json::as_str), Some("periodic"));
-        assert_eq!(sj.get("ops_simulated").and_then(Json::as_u64), Some(1600));
-        assert_eq!(sj.get("ops_total").and_then(Json::as_u64), Some(4000));
-        let est = runs[0].get("estimates").unwrap();
-        // scale = weight_total / weight_measured = 4.0.
-        assert_eq!(
-            est.get("exec_time_cycles").and_then(Json::as_f64),
-            Some(400.0)
-        );
-        assert!(est.get("read_miss_rate").and_then(Json::as_f64).is_some());
-        let bounds = runs[0].get("error_bounds").unwrap();
-        assert_eq!(
-            bounds.get("read_miss_rate").and_then(Json::as_f64),
-            Some(sample::MISS_RATE_BOUND)
-        );
-        // The unsampled record of the same manifest has no such keys.
-        assert_eq!(runs[1].get("sampling"), None);
-        assert_eq!(runs[1].get("estimates"), None);
-        assert_eq!(runs[1].get("error_bounds"), None);
-    }
-
     /// CSV rows carry the v2 status/attempts tail and stay rectangular.
     #[test]
     fn csv_includes_status_and_attempts() {
@@ -849,7 +754,6 @@ mod tests {
             RunStatus::Timeout,
             1,
             ServedBy::Journal,
-            None,
         );
         let csv = m.to_csv();
         let lines: Vec<&str> = csv.lines().collect();

@@ -42,7 +42,6 @@ use std::time::Duration;
 use coherence::config::CacheSpec;
 use coherence::{LatencyTable, MachineConfig};
 use simcore::ops::Trace;
-use simcore::sample::{SamplePlan, SampleSpec, SamplingStats};
 use simcore::stats::RunStats;
 use splash::ProblemSize;
 
@@ -76,30 +75,6 @@ pub fn run_config(trace: &Trace, per_cluster: u32, cache: CacheSpec) -> RunStats
         lat: LatencyTable::paper(),
     };
     tango::run(trace, machine)
-}
-
-/// Like [`run_config`], but replays only the intervals a
-/// [`SampleSpec`] selects (warmup windows touch the caches without
-/// being counted), returning both the measured stats and the sampling
-/// provenance. The plan depends only on `(trace, spec)` — never on
-/// the machine — so every cell of a sweep measures the *same*
-/// intervals and speedup ratios stay comparable across cluster sizes.
-pub fn run_config_sampled(
-    trace: &Trace,
-    per_cluster: u32,
-    cache: CacheSpec,
-    spec: &SampleSpec,
-) -> (RunStats, SamplingStats) {
-    let machine = MachineConfig {
-        n_procs: trace.n_procs() as u32,
-        per_cluster,
-        cache,
-        lat: LatencyTable::paper(),
-    };
-    let plan = SamplePlan::for_trace(trace, spec);
-    let run = tango::run_sampled(trace, machine, &plan);
-    let sampling = plan.stats().with_warm(&run.warm_mem, &run.warm_bd);
-    (run.stats, sampling)
 }
 
 /// Results of one cache size across all cluster sizes.
@@ -210,12 +185,6 @@ pub enum StudyEvent<'a> {
 }
 
 /// How one `(trace, cache, cluster)` cell of the study matrix ended.
-//
-// `Done` carries the full stats plus sampling provenance inline; a
-// study holds a few hundred cells at most, so the size skew against
-// the rare `Failed` variant is irrelevant and not worth a Box
-// indirection on every result access.
-#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum CellOutcome {
     /// The simulation completed (possibly after retries, possibly
@@ -234,9 +203,6 @@ pub enum CellOutcome {
         /// Served from a content-addressed result cache
         /// ([`StudySpec::cache_prefill`]) instead of executed.
         cached: bool,
-        /// Sampling provenance when the study ran sampled
-        /// ([`StudySpec::sampling`]); `None` for a full-trace run.
-        sampling: Option<SamplingStats>,
     },
     /// Failed permanently; `attempts == 0` means it was skipped
     /// because its trace's generation failed.
@@ -499,7 +465,6 @@ pub struct StudySpec<'a> {
     prefill: Vec<JournalEntry>,
     cache_prefill: Vec<JournalEntry>,
     on_complete: Option<&'a (dyn Fn(&JournalEntry) + Sync)>,
-    sampling: Option<SampleSpec>,
 }
 
 impl<'a> StudySpec<'a> {
@@ -517,7 +482,6 @@ impl<'a> StudySpec<'a> {
             prefill: Vec::new(),
             cache_prefill: Vec::new(),
             on_complete: None,
-            sampling: None,
         }
     }
 
@@ -545,7 +509,6 @@ impl<'a> StudySpec<'a> {
             prefill: Vec::new(),
             cache_prefill: Vec::new(),
             on_complete: None,
-            sampling: None,
         }
     }
 
@@ -622,16 +585,6 @@ impl<'a> StudySpec<'a> {
     /// simulations. Runs on worker threads; must be `Sync`.
     pub fn on_complete(mut self, sink: &'a (dyn Fn(&JournalEntry) + Sync)) -> StudySpec<'a> {
         self.on_complete = Some(sink);
-        self
-    }
-
-    /// Runs every simulation sampled under `spec` instead of
-    /// full-trace (see [`run_config_sampled`]). Prefill entries —
-    /// journal or result-cache — only match a cell when their recorded
-    /// sampling spec equals this one, so sampled and full results
-    /// never substitute for each other on resume.
-    pub fn sampling(mut self, spec: SampleSpec) -> StudySpec<'a> {
-        self.sampling = Some(spec);
         self
     }
 
@@ -730,20 +683,20 @@ impl<'a> StudySpec<'a> {
         // pipeline. Traces whose every cell was restored are not
         // generated at all. Checkpoint-journal entries shadow
         // result-cache entries for the same key (a journal is this
-        // study's own history; the cache is shared). An entry only
-        // matches when its recorded sampling spec equals this study's
-        // — a full result must never stand in for a sampled one or
-        // vice versa.
-        let compatible = |e: &JournalEntry| e.sampling.map(|s| s.spec()) == self.sampling;
+        // study's own history; the cache is shared). An entry written
+        // by the removed sampled-replay mode carries a `sampling`
+        // block and is never a full-trace result, so it is re-executed
+        // instead of restored.
+        let full_trace = |e: &&JournalEntry| e.sampling.is_none();
         let pre: HashMap<(&str, String, u32), (&JournalEntry, bool)> = self
             .cache_prefill
             .iter()
-            .filter(|e| compatible(e))
+            .filter(full_trace)
             .map(|e| ((e.app.as_str(), e.cache.clone(), e.cluster), (e, true)))
             .chain(
                 self.prefill
                     .iter()
-                    .filter(|e| compatible(e))
+                    .filter(full_trace)
                     .map(|e| ((e.app.as_str(), e.cache.clone(), e.cluster), (e, false))),
             )
             .collect();
@@ -758,7 +711,6 @@ impl<'a> StudySpec<'a> {
                         attempts: e.attempts,
                         resumed: !cached,
                         cached,
-                        sampling: e.sampling,
                     })
             })
             .collect();
@@ -778,71 +730,70 @@ impl<'a> StudySpec<'a> {
             .collect();
 
         let chunk = self.chunk.unwrap_or(self.sizes.len());
-        let report =
-            |ev: GuardedEvent<'_, (u32, RunStats, Option<SamplingStats>)>| match ev.report.phase {
-                Phase::Gen => {
-                    let t = gen_sub[ev.report.index];
-                    let event = match &ev.report.error {
-                        Some(err) => StudyEvent::GenFailed {
-                            trace: t,
-                            name: &names[t],
-                            attempts: ev.report.attempts,
-                            error: err,
-                        },
-                        None => StudyEvent::GenDone {
-                            trace: t,
-                            name: &names[t],
-                            wall: ev.report.wall,
-                        },
-                    };
-                    progress(&event);
-                }
-                Phase::Sim => {
-                    let (t, (cache, cluster)) = full[missing[ev.report.index]];
-                    match &ev.report.error {
-                        Some(err) => progress(&StudyEvent::SimFailed {
+        let report = |ev: GuardedEvent<'_, (u32, RunStats)>| match ev.report.phase {
+            Phase::Gen => {
+                let t = gen_sub[ev.report.index];
+                let event = match &ev.report.error {
+                    Some(err) => StudyEvent::GenFailed {
+                        trace: t,
+                        name: &names[t],
+                        attempts: ev.report.attempts,
+                        error: err,
+                    },
+                    None => StudyEvent::GenDone {
+                        trace: t,
+                        name: &names[t],
+                        wall: ev.report.wall,
+                    },
+                };
+                progress(&event);
+            }
+            Phase::Sim => {
+                let (t, (cache, cluster)) = full[missing[ev.report.index]];
+                match &ev.report.error {
+                    Some(err) => progress(&StudyEvent::SimFailed {
+                        trace: t,
+                        name: &names[t],
+                        cache,
+                        cluster,
+                        attempts: ev.report.attempts,
+                        error: err,
+                    }),
+                    None => {
+                        progress(&StudyEvent::SimDone {
                             trace: t,
                             name: &names[t],
                             cache,
                             cluster,
-                            attempts: ev.report.attempts,
-                            error: err,
-                        }),
-                        None => {
-                            progress(&StudyEvent::SimDone {
-                                trace: t,
-                                name: &names[t],
-                                cache,
-                                cluster,
-                                wall: ev.report.wall,
-                            });
-                            if let Some((_, stats, sampling)) = ev.value {
-                                if self.journal.is_some() || self.on_complete.is_some() {
-                                    let entry = JournalEntry {
-                                        app: names[t].clone(),
-                                        cache: cache.label(),
-                                        cluster,
-                                        stats: stats.clone(),
-                                        wall: Some(ev.report.wall),
-                                        status: ev
-                                            .report
-                                            .status()
-                                            .expect("successful sim has a status"),
-                                        attempts: ev.report.attempts,
-                                        sampling: *sampling,
-                                    };
-                                    if let Some(journal) = self.journal {
-                                        journal.append(entry.clone());
-                                    }
-                                    if let Some(sink) = self.on_complete {
-                                        sink(&entry);
-                                    }
+                            wall: ev.report.wall,
+                        });
+                        if let Some((_, stats)) = ev.value {
+                            if self.journal.is_some() || self.on_complete.is_some() {
+                                let entry = JournalEntry {
+                                    app: names[t].clone(),
+                                    cache: cache.label(),
+                                    cluster,
+                                    stats: stats.clone(),
+                                    wall: Some(ev.report.wall),
+                                    status: ev
+                                        .report
+                                        .status()
+                                        .expect("successful sim has a status"),
+                                    attempts: ev.report.attempts,
+                                    sampling: None,
+                                };
+                                if let Some(journal) = self.journal {
+                                    journal.append(entry.clone());
+                                }
+                                if let Some(sink) = self.on_complete {
+                                    sink(&entry);
                                 }
                             }
                         }
                     }
                 }
-            };
+            }
+        };
         let run = parallel::run_pipeline_guarded(
             &sub_inputs,
             &items,
@@ -850,13 +801,7 @@ impl<'a> StudySpec<'a> {
             chunk,
             &self.policy,
             |gi: &&GI| gen_f(gi),
-            |t, &(cache, c)| match &self.sampling {
-                Some(spec) => {
-                    let (stats, ss) = run_config_sampled(as_trace(t), c, cache, spec);
-                    (c, stats, Some(ss))
-                }
-                None => (c, run_config(as_trace(t), c, cache), None),
-            },
+            |t, &(cache, c)| (c, run_config(as_trace(t), c, cache)),
             report,
         );
 
@@ -866,14 +811,13 @@ impl<'a> StudySpec<'a> {
         for (sub_i, &orig) in missing.iter().enumerate() {
             let rep = &run.sim_reports[sub_i];
             outcomes[orig] = Some(match sub_sims[sub_i].take() {
-                Some(((_, stats, sampling), wall)) => CellOutcome::Done {
+                Some(((_, stats), wall)) => CellOutcome::Done {
                     stats,
                     wall: Some(wall),
                     status: rep.status().expect("successful sim has a status"),
                     attempts: rep.attempts,
                     resumed: false,
                     cached: false,
-                    sampling,
                 },
                 None => CellOutcome::Failed {
                     error: rep

@@ -57,7 +57,7 @@ pub use protocol::{
 };
 pub use server::{serve_connection, ServeOptions, ServeState, Session, DEFAULT_QUEUE};
 pub use store::{
-    cell_key, cell_key_sampled, scan_store, scan_store_dir, shard_file_name, size_label, KeyMode,
-    ResultStore, StoreConfig, StoreEntry, StoreError, TraceStore, DEFAULT_SHARDS, KILL_EXIT_CODE,
-    STORE_FILE, STORE_FILE_V1_BACKUP, STORE_SCHEMA, STORE_SCHEMA_V2,
+    cell_key, scan_store, scan_store_dir, shard_file_name, size_label, KeyMode, ResultStore,
+    StoreConfig, StoreEntry, StoreError, TraceStore, DEFAULT_SHARDS, KILL_EXIT_CODE, STORE_FILE,
+    STORE_FILE_V1_BACKUP, STORE_SCHEMA, STORE_SCHEMA_V2,
 };

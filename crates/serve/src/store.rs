@@ -138,58 +138,22 @@ impl Default for StoreConfig {
 
 /// The canonical key document for one study cell. Everything that can
 /// change the simulated statistics is named here; nothing else is:
-/// app, problem size, processor count, cache spec, cluster size, the
-/// seeding scheme — and, for sampled runs, the full sampling
-/// configuration (mode, rate, warmup, interval, seed via
-/// `SampleSpec::key_label`), so a sampled and a full run of the same
-/// cell never alias in the store. A full-trace run (`sampling: None`)
-/// omits the field entirely, keeping every pre-sampling key valid.
-pub fn cell_key_doc_sampled(
-    app: &str,
-    size: &str,
-    procs: usize,
-    cache: &str,
-    cluster: u32,
-    sampling: Option<&str>,
-) -> Json {
-    let mut doc = Json::obj()
+/// app, problem size, processor count, cache spec, cluster size and
+/// the seeding scheme.
+pub fn cell_key_doc(app: &str, size: &str, procs: usize, cache: &str, cluster: u32) -> Json {
+    Json::obj()
         .with("schema", CELL_KEY_SCHEMA)
         .with("app", app)
         .with("size", size)
         .with("procs", procs)
         .with("cache", cache)
         .with("cluster", cluster)
-        .with("seed_scheme", SEED_SCHEME);
-    if let Some(s) = sampling {
-        doc.push("sampling", s);
-    }
-    doc
+        .with("seed_scheme", SEED_SCHEME)
 }
 
-/// [`cell_key_doc_sampled`] for a full-trace (unsampled) cell.
-pub fn cell_key_doc(app: &str, size: &str, procs: usize, cache: &str, cluster: u32) -> Json {
-    cell_key_doc_sampled(app, size, procs, cache, cluster, None)
-}
-
-/// The content-addressed key of one study cell under [`KeyMode::Full`],
-/// `sampling` being a `SampleSpec::key_label` for sampled runs.
-pub fn cell_key_sampled(
-    app: &str,
-    size: &str,
-    procs: usize,
-    cache: &str,
-    cluster: u32,
-    sampling: Option<&str>,
-) -> String {
-    stable_key(&cell_key_doc_sampled(
-        app, size, procs, cache, cluster, sampling,
-    ))
-}
-
-/// The content-addressed key of one full-trace study cell under
-/// [`KeyMode::Full`].
+/// The content-addressed key of one study cell under [`KeyMode::Full`].
 pub fn cell_key(app: &str, size: &str, procs: usize, cache: &str, cluster: u32) -> String {
-    cell_key_sampled(app, size, procs, cache, cluster, None)
+    stable_key(&cell_key_doc(app, size, procs, cache, cluster))
 }
 
 /// Label for a [`ProblemSize`], matching the journal header's `size`.
@@ -591,21 +555,7 @@ impl ResultStore {
 
     /// The cell key under this store's [`KeyMode`].
     pub fn key(&self, app: &str, size: &str, procs: usize, cache: &str, cluster: u32) -> String {
-        self.key_sampled(app, size, procs, cache, cluster, None)
-    }
-
-    /// The cell key under this store's [`KeyMode`], for a sampled run
-    /// (`sampling` = the run's `SampleSpec::key_label`).
-    pub fn key_sampled(
-        &self,
-        app: &str,
-        size: &str,
-        procs: usize,
-        cache: &str,
-        cluster: u32,
-        sampling: Option<&str>,
-    ) -> String {
-        let full = cell_key_sampled(app, size, procs, cache, cluster, sampling);
+        let full = cell_key(app, size, procs, cache, cluster);
         match self.mode {
             KeyMode::Full => full,
             KeyMode::Truncated(n) => full[..n.min(full.len())].to_string(),

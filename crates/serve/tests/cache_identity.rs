@@ -460,68 +460,111 @@ fn weak_store_serves_wrong_cell_full_store_does_not() {
     std::fs::remove_dir_all(&full_dir).ok();
 }
 
-/// Sampled and full runs of the same cell must never alias in the
-/// content-addressed store: the canonical key document names the full
-/// sampling configuration, so every parameter of the spec — mode,
-/// rate, warmup, interval, seed — lands in the key, while full-trace
-/// keys stay byte-identical to their pre-sampling form.
+/// Full-trace store keys are pinned to the values the key derivation
+/// produced before the sampled-replay mode was removed, so every store
+/// written earlier keeps hitting.
 #[test]
-fn sampled_and_full_cells_never_share_a_key() {
-    use cluster_serve::store::{cell_key_doc_sampled, cell_key_sampled};
-    use simcore::sample::{SampleMode, SampleSpec};
-
-    let cell = ("lu", "small", 8usize, "4k", 2u32);
-    let (app, size, procs, cache, cluster) = cell;
-    let full = cell_key(app, size, procs, cache, cluster);
-    let spec = SampleSpec::new(SampleMode::Periodic);
-    let label = spec.key_label();
-    let sampled = cell_key_sampled(app, size, procs, cache, cluster, Some(&label));
-    assert_ne!(full, sampled, "sampled cell aliases the full-trace cell");
-
-    // The canonical document carries the label verbatim for sampled
-    // runs and omits the field entirely for full runs (so every key
-    // minted before sampling existed is still the same key).
-    let doc = cell_key_doc_sampled(app, size, procs, cache, cluster, Some(&label));
+fn full_trace_keys_are_pinned() {
     assert_eq!(
-        doc.get("sampling").and_then(Json::as_str),
-        Some(label.as_str()),
-        "sampling parameters must be in the canonical key document"
+        cell_key("ocean", "small", 16, "4k", 4),
+        "9a52a6dddefa312a91512876918d0283"
     );
-    let full_doc = cell_key_doc_sampled(app, size, procs, cache, cluster, None);
-    assert!(
-        full_doc.get("sampling").is_none(),
-        "full-trace key documents must not grow a sampling field"
+    assert_eq!(
+        cell_key("lu", "paper", 64, "inf", 8),
+        "3222a472ee0accbe435d3ce45b25c420"
     );
+    assert_eq!(
+        cell_key("lu", "small", 8, "inf", 2),
+        "eac7d61b0d8521cc24de2931547476c9"
+    );
+}
 
-    // Every spec parameter is key-relevant: varying each one alone
-    // yields a distinct key; repeating the same spec does not.
-    let variants = [
-        SampleSpec::new(SampleMode::Reservoir),
-        SampleSpec::new(SampleMode::PhaseDetect),
-        SampleSpec { rate: 0.5, ..spec },
-        SampleSpec {
-            warmup_ops: 1024,
-            ..spec
-        },
-        SampleSpec {
-            interval_ops: 512,
-            ..spec
-        },
-        SampleSpec {
-            seed: spec.seed + 1,
-            ..spec
-        },
-    ];
-    for v in variants {
-        let vl = v.key_label();
-        assert_ne!(vl, label, "variant spec must have a distinct label");
-        let k = cell_key_sampled(app, size, procs, cache, cluster, Some(&vl));
-        assert_ne!(k, sampled, "spec {vl} aliases spec {label}");
-        assert_ne!(k, full, "spec {vl} aliases the full-trace key");
+/// A store line written by the removed sampled-replay mode, verbatim:
+/// `lu`/`small`/8 procs/`inf`/cluster 2 under the default periodic
+/// spec. Its key names the sampling spec, so it is not the full-trace
+/// key of the same cell; a 4-shard store routes it to shard 2.
+const LEGACY_SAMPLED_LINE: &str = concat!(
+    "{\"store_key\":\"14d98fc2ef6a7d70f0f0edba94450569\",\"size\":\"small\",\"procs\":8",
+    ",\"cell\":{\"app\":\"lu\",\"cache\":\"inf\",\"cluster\":2,\"status\":\"ok\",\"attempts\":1",
+    ",\"wall_seconds\":0.000759686,\"sampling\":{\"mode\":\"periodic\",\"rate\":0.25",
+    ",\"warmup_ops\":2048,\"interval_ops\":256,\"seed\":6501816801244897005",
+    ",\"ops_total\":6356,\"ops_measured\":2091,\"ops_warm\":4265,\"ops_simulated\":6356",
+    ",\"weight_total\":740064,\"weight_measured\":243440,\"weight_warm\":496624",
+    ",\"warm_read_hits\":2443,\"warm_read_misses\":400,\"warm_write_hits\":1093",
+    ",\"warm_write_misses\":0,\"warm_upgrade_misses\":24,\"warm_cpu_cycles\":496624",
+    ",\"warm_load_cycles\":39790,\"warm_merge_cycles\":19700},\"exec_time\":188729",
+    ",\"per_proc\":[[27615,2720,0,121768],[30349,2320,0,101504],[30348,4220,1200,81608],[30348,3120,2300,70784],[28300,3520,0,109344],[30288,3490,0,84808],[30288,5090,1600,59744],[36104,5490,1600,43848]]",
+    ",\"mem\":{\"read_hits\":821,\"write_hits\":27,\"read_misses\":656,\"write_misses\":0",
+    ",\"upgrade_misses\":488,\"merge_stalls\":67,\"by_latency\":[509,0,147,0]",
+    ",\"invalidations\":0,\"evictions\":0,\"writebacks\":0,\"local_satisfied\":509",
+    ",\"bus_transfers\":0,\"bus_invalidations\":0}}}",
+);
+const LEGACY_SAMPLED_KEY: &str = "14d98fc2ef6a7d70f0f0edba94450569";
+
+/// A shard holding a legacy sampled line still opens and keeps the
+/// line byte for byte, its full-trace cells are served bit-identically
+/// from the store, and the sampled entry never answers a request.
+#[test]
+fn legacy_sampled_entry_opens_but_never_answers() {
+    let dir = tmp_dir("legacy");
+    let opts = ServeOptions {
+        jobs: 1,
+        max_line: 1 << 16,
+        queue: 2,
+        op_budget: 256,
+    };
+    let request = "{\"op\":\"run\",\"spec\":{\"app\":\"lu\",\"procs\":8,\
+                   \"caches\":[\"inf\"],\"clusters\":[1,2]}}\n";
+    let fresh = {
+        let st = ServeState::new(ResultStore::open(&dir).expect("open"), opts);
+        drive(&st, request)
+    };
+    let cells = fresh[0].get("cells").and_then(Json::as_arr).expect("cells");
+    assert_eq!(cells.len(), 2);
+
+    // Plant the legacy line where a pre-removal store kept it.
+    let shard = dir.join(cluster_serve::shard_file_name(2));
+    let mut text = std::fs::read_to_string(&shard).expect("shard 2");
+    text.push_str(LEGACY_SAMPLED_LINE);
+    text.push('\n');
+    std::fs::write(&shard, text).expect("plant legacy line");
+
+    let store = ResultStore::open(&dir).expect("a legacy shard still opens");
+    let legacy = store.peek(LEGACY_SAMPLED_KEY).expect("legacy entry loaded");
+    assert!(legacy.cell.sampling.is_some());
+    assert_eq!(
+        format!("{}", legacy.to_json()),
+        LEGACY_SAMPLED_LINE,
+        "the legacy line must be written back verbatim"
+    );
+    let entries = store.counters().entries;
+    let st = ServeState::new(store, opts);
+    let again = drive(&st, request);
+    let served = again[0].get("cells").and_then(Json::as_arr).expect("cells");
+    let trace = splash::by_name("lu", ProblemSize::Small)
+        .expect("registry")
+        .generate(8);
+    for (a, b) in cells.iter().zip(served) {
+        let cluster = b.get("cluster").and_then(Json::as_u64).expect("cluster") as u32;
+        assert_eq!(b.get("cache_hit").and_then(Json::as_bool), Some(true));
+        assert_ne!(
+            b.get("key").and_then(Json::as_str),
+            Some(LEGACY_SAMPLED_KEY)
+        );
+        assert_eq!(
+            a.get("stats").map(Json::to_string),
+            b.get("stats").map(Json::to_string),
+            "a full-trace cell beside a legacy line must serve bit-identically"
+        );
+        assert_eq!(
+            b.get("stats").map(Json::to_string),
+            Some(direct_stats("lu", &trace, CacheSpec::Infinite, cluster))
+        );
     }
     assert_eq!(
-        cell_key_sampled(app, size, procs, cache, cluster, Some(&label)),
-        sampled,
-        "identical specs must reproduce the identical key"
+        st.store().counters().entries,
+        entries,
+        "no request added or replaced an entry"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }

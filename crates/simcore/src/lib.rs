@@ -31,9 +31,6 @@
 //!   machine-readable results layer (run manifests, CI artifacts).
 //! * [`metrics`] — insertion-ordered registry of named counters,
 //!   gauges and timers reported through the manifests.
-//! * [`sample`] — sampled/interval simulation plans: periodic,
-//!   reservoir and phase-detecting interval selection with warmup
-//!   windows replayed for cache state but excluded from statistics.
 //! * [`vclock`] — vector clocks and FastTrack-style epochs for
 //!   happens-before analysis of traces.
 //! * [`witness`] — race-report and order-certificate types shared by
@@ -51,7 +48,6 @@ pub mod metrics;
 pub mod ops;
 pub mod propcheck;
 pub mod rng;
-pub mod sample;
 pub mod space;
 pub mod stats;
 pub mod vclock;
@@ -66,7 +62,6 @@ pub use json::Json;
 pub use metrics::{MetricValue, Metrics};
 pub use ops::{Op, PackedOp, Trace, TraceBuilder};
 pub use rng::Rng64;
-pub use sample::{OpClass, SampleError, SampleMode, SamplePlan, SampleSpec, SamplingStats};
 pub use space::{AddressSpace, Placement, ProcId, Region, SharedArray};
 pub use stats::{Breakdown, MissClass, MissStats, RunStats};
 pub use vclock::{Epoch, VectorClock};

@@ -6,8 +6,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use coherence::{MachineConfig, MemorySystem, Outcome, ProtocolError};
 use simcore::cast::usize_from;
 use simcore::ops::{Op, Trace};
-use simcore::sample::{OpClass, SamplePlan};
-use simcore::stats::{Breakdown, MissStats, RunStats};
+use simcore::stats::{Breakdown, RunStats};
 use simcore::witness::{CommitKind, WitnessEvent};
 
 /// A replay failure reachable from user input: a trace whose shape
@@ -107,11 +106,6 @@ struct ProcState {
     /// Clock value when the processor blocked (barrier arrival or lock
     /// request time).
     blocked_at: u64,
-    /// Cycles spent on warm-classified operations, broken down the
-    /// same way [`Breakdown`] splits measured time: charged to the
-    /// clock (so interleaving stays realistic) but kept out of `bd`
-    /// (so warmup never enters the statistics).
-    warm_bd: Breakdown,
 }
 
 #[derive(Debug, Default)]
@@ -168,34 +162,6 @@ pub fn run_with(trace: &Trace, machine: MachineConfig, opts: EngineOptions) -> R
     try_run_with(trace, machine, opts).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Result of a sampled replay: the measured statistics plus the warm
-/// replay's functional memory outcomes, which feed the estimate side
-/// of the results layer and never the deterministic stats view.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SampledRun {
-    /// Statistics of the measured operations (plus the always-executed
-    /// synchronization skeleton), exactly as a full replay would
-    /// report them for those operations.
-    pub stats: RunStats,
-    /// Functional hit/miss outcomes of the warm-classified operations.
-    pub warm_mem: MissStats,
-    /// Cycles the warm-classified operations spent, split into the
-    /// same components as the measured breakdown (sync is always
-    /// measured in full, so its warm share is zero).
-    pub warm_bd: Breakdown,
-}
-
-/// Sampled replay with default options, panicking on a malformed
-/// input (same contract as [`run`]); see [`try_run_sampled`].
-pub fn run_sampled(trace: &Trace, machine: MachineConfig, plan: &SamplePlan) -> SampledRun {
-    match try_run_sampled(trace, machine, EngineOptions::default(), plan) {
-        Ok(rs) => rs,
-        // cluster_check: allow(no-panic) — documented panicking
-        // convenience wrapper over the typed try_run_sampled.
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Replays `trace` with explicit [`EngineOptions`], propagating the
 /// typed reason when the trace does not fit the machine.
 pub fn try_run_with(
@@ -203,7 +169,7 @@ pub fn try_run_with(
     machine: MachineConfig,
     opts: EngineOptions,
 ) -> Result<RunStats, EngineError> {
-    replay(trace, machine, opts, None, None).map(|r| r.stats)
+    replay(trace, machine, opts, None)
 }
 
 /// Full replay with a witness observer: `observer` is called once for
@@ -222,7 +188,7 @@ pub fn try_run_observed(
     opts: EngineOptions,
     observer: &mut dyn FnMut(WitnessEvent),
 ) -> Result<RunStats, EngineError> {
-    replay(trace, machine, opts, None, Some(observer)).map(|r| r.stats)
+    replay(trace, machine, opts, Some(observer))
 }
 
 /// Panicking convenience wrapper over [`try_run_observed`], same
@@ -252,61 +218,12 @@ fn commit_of(o: &Outcome) -> Option<CommitKind> {
     }
 }
 
-/// Sampled replay under a [`SamplePlan`]: measured operations run
-/// exactly as in [`try_run_with`]; warm operations touch the memory
-/// system and advance the processor clock by their full-replay cost
-/// (computes by their cycle count, read misses by their miss latency,
-/// merge stalls waited out and retried) so that cross-processor
-/// interleaving and synchronization waits track the full replay
-/// exactly — but they are excluded from every statistics counter and
-/// breakdown component, with their functional hit/miss outcomes
-/// reported separately in [`SampledRun::warm_mem`]. Skipped
-/// operations are not replayed: each skipped range collapses to zero
-/// cycles, which is where sampled timing diverges from the full
-/// replay. Synchronization operations always execute in full,
-/// preserving the sync skeleton. A plan whose rate is 1.0 reproduces
-/// the full replay bit-for-bit, and any plan with no skipped
-/// operations reproduces its exact timing.
-pub fn try_run_sampled(
-    trace: &Trace,
-    machine: MachineConfig,
-    opts: EngineOptions,
-    plan: &SamplePlan,
-) -> Result<SampledRun, EngineError> {
-    replay(trace, machine, opts, Some(plan), None)
-}
-
-/// Field-wise counter difference `after - before`, for isolating what
-/// one warm access contributed before the counters are rolled back.
-fn miss_delta(after: &MissStats, before: &MissStats) -> MissStats {
-    let mut by_latency = [0u64; 4];
-    for (i, slot) in by_latency.iter_mut().enumerate() {
-        *slot = after.by_latency[i] - before.by_latency[i];
-    }
-    MissStats {
-        read_hits: after.read_hits - before.read_hits,
-        write_hits: after.write_hits - before.write_hits,
-        read_misses: after.read_misses - before.read_misses,
-        write_misses: after.write_misses - before.write_misses,
-        upgrade_misses: after.upgrade_misses - before.upgrade_misses,
-        merge_stalls: after.merge_stalls - before.merge_stalls,
-        by_latency,
-        invalidations: after.invalidations - before.invalidations,
-        evictions: after.evictions - before.evictions,
-        writebacks: after.writebacks - before.writebacks,
-        local_satisfied: after.local_satisfied - before.local_satisfied,
-        bus_transfers: after.bus_transfers - before.bus_transfers,
-        bus_invalidations: after.bus_invalidations - before.bus_invalidations,
-    }
-}
-
 fn replay(
     trace: &Trace,
     machine: MachineConfig,
     opts: EngineOptions,
-    plan: Option<&SamplePlan>,
     mut observer: Option<&mut dyn FnMut(WitnessEvent)>,
-) -> Result<SampledRun, EngineError> {
+) -> Result<RunStats, EngineError> {
     let n = trace.n_procs();
     if n != usize_from(machine.n_procs) {
         return Err(EngineError::ProcCountMismatch {
@@ -325,10 +242,8 @@ fn replay(
             status: ProcStatus::Runnable,
             reads_issued: 0,
             blocked_at: 0,
-            warm_bd: Breakdown::default(),
         })
         .collect();
-    let mut warm_mem = MissStats::default();
     let mut locks: Vec<LockState> = (0..trace.n_locks).map(|_| LockState::default()).collect();
 
     // Barrier bookkeeping: every processor participates in every
@@ -360,28 +275,8 @@ fn replay(
                 break 'steps;
             }
             let op = ops[procs[pidx].idx].unpack();
-            // Sampling classification applies only to compute and
-            // memory operations; synchronization always executes so
-            // barrier ordering and FIFO lock grants are preserved.
-            let class = match plan {
-                Some(pl) => pl.class(pidx, procs[pidx].idx),
-                None => OpClass::Measure,
-            };
             match op {
                 Op::Compute(c) => {
-                    if class != OpClass::Measure {
-                        if class == OpClass::Warm {
-                            // Warm computes keep this processor's clock
-                            // aligned with the full replay (no
-                            // dependent-load modelling: that is a
-                            // measured-only refinement).
-                            let p = &mut procs[pidx];
-                            p.clock += c;
-                            p.warm_bd.cpu += c;
-                        }
-                        procs[pidx].idx += 1;
-                        continue 'steps;
-                    }
                     let p = &mut procs[pidx];
                     p.bd.cpu += c;
                     p.clock += c;
@@ -396,56 +291,6 @@ fn replay(
                 }
                 Op::Read(a) => {
                     let now = procs[pidx].clock;
-                    match class {
-                        OpClass::Skip => {
-                            procs[pidx].idx += 1;
-                            continue 'steps;
-                        }
-                        OpClass::Warm => {
-                            // Touch the memory system for cache state
-                            // and charge the full-replay cost to the
-                            // clock — misses stall, merges wait and
-                            // retry — so the interleaving and sync
-                            // skeleton track the full replay exactly.
-                            // The counters are restored: warmup is
-                            // never measured, and its functional
-                            // outcomes accumulate separately.
-                            let saved = mem.stats;
-                            let outcome = mem.try_read(pid, a, now)?;
-                            warm_mem += miss_delta(&mem.stats, &saved);
-                            mem.stats = saved;
-                            if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
-                                obs(WitnessEvent {
-                                    time: now,
-                                    proc: pid,
-                                    addr: a,
-                                    commit: k,
-                                });
-                            }
-                            let p = &mut procs[pidx];
-                            match outcome {
-                                Outcome::MergeWait { ready_at } => {
-                                    debug_assert!(ready_at > p.clock);
-                                    p.warm_bd.merge += ready_at - p.clock;
-                                    p.clock = ready_at;
-                                    // idx NOT advanced: retry.
-                                }
-                                Outcome::ReadMiss { stall, .. } | Outcome::ReadBus { stall } => {
-                                    p.clock += 1 + stall;
-                                    p.warm_bd.cpu += 1;
-                                    p.warm_bd.load += stall;
-                                    p.idx += 1;
-                                }
-                                _ => {
-                                    p.clock += 1;
-                                    p.warm_bd.cpu += 1;
-                                    p.idx += 1;
-                                }
-                            }
-                            continue 'steps;
-                        }
-                        OpClass::Measure => {}
-                    }
                     let outcome = mem.try_read(pid, a, now)?;
                     if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
                         obs(WitnessEvent {
@@ -500,36 +345,6 @@ fn replay(
                 }
                 Op::Write(a) => {
                     let now = procs[pidx].clock;
-                    match class {
-                        OpClass::Skip => {
-                            procs[pidx].idx += 1;
-                            continue 'steps;
-                        }
-                        OpClass::Warm => {
-                            // Writes cost one cycle measured or warm
-                            // (the paper never stalls the processor on
-                            // writes), so warm writes stay clock-exact.
-                            let saved = mem.stats;
-                            let r = mem.try_write(pid, a, now);
-                            warm_mem += miss_delta(&mem.stats, &saved);
-                            mem.stats = saved;
-                            let outcome = r?;
-                            if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
-                                obs(WitnessEvent {
-                                    time: now,
-                                    proc: pid,
-                                    addr: a,
-                                    commit: k,
-                                });
-                            }
-                            let p = &mut procs[pidx];
-                            p.clock += 1;
-                            p.warm_bd.cpu += 1;
-                            p.idx += 1;
-                            continue 'steps;
-                        }
-                        OpClass::Measure => {}
-                    }
                     let outcome = mem.try_write(pid, a, now)?;
                     if let (Some(obs), Some(k)) = (observer.as_mut(), commit_of(&outcome)) {
                         obs(WitnessEvent {
@@ -621,28 +436,15 @@ fn replay(
     assert_eq!(done, n, "deadlock: {} processors never finished", n - done);
     let exec_time = procs.iter().map(|p| p.clock).max().unwrap_or(0);
     // The terminal barrier aligns all clocks; fold any residue (possible
-    // only for truncated traces without one) into sync wait. Warm
-    // cycles advance the clock without a breakdown component, so the
-    // invariant is `breakdown + warm == exec_time` (warm is zero for
-    // full replays).
-    let mut warm_bd = Breakdown::default();
+    // only for truncated traces without one) into sync wait.
     for p in &mut procs {
         p.bd.sync += exec_time - p.clock;
-        debug_assert_eq!(
-            p.bd.total() + p.warm_bd.total(),
-            exec_time,
-            "breakdown plus warm cycles must sum to exec time"
-        );
-        warm_bd += p.warm_bd;
+        debug_assert_eq!(p.bd.total(), exec_time, "breakdown must sum to exec time");
     }
-    Ok(SampledRun {
-        stats: RunStats {
-            per_proc: procs.into_iter().map(|p| p.bd).collect(),
-            mem: mem.stats,
-            exec_time,
-        },
-        warm_mem,
-        warm_bd,
+    Ok(RunStats {
+        per_proc: procs.into_iter().map(|p| p.bd).collect(),
+        mem: mem.stats,
+        exec_time,
     })
 }
 
@@ -885,88 +687,5 @@ mod tests {
         let rs = run(&t, cfg(3, 1));
         assert_eq!(rs.exec_time, 1);
         assert_eq!(rs.mem.total_misses(), 0);
-    }
-
-    fn sampled_fixture() -> Trace {
-        let mut b = TraceBuilder::new(4);
-        let a = b.space_mut().alloc_shared(64 * 128);
-        let l = b.new_lock();
-        for p in 0..4u32 {
-            for i in 0..600u64 {
-                b.read(p, a + ((i * 5 + p as u64 * 17) % 128) * 64);
-                b.compute(p, 3);
-                if i % 97 == 0 {
-                    b.lock(p, l);
-                    b.write(p, a);
-                    b.unlock(p, l);
-                }
-            }
-        }
-        b.barrier_all();
-        for p in 0..4u32 {
-            for i in 0..200u64 {
-                b.write(p, a + ((i + p as u64 * 31) % 128) * 64);
-            }
-        }
-        b.finish()
-    }
-
-    #[test]
-    fn sampled_rate_one_is_bit_identical_to_full_replay() {
-        use simcore::sample::{SampleMode, SamplePlan, SampleSpec};
-        let t = sampled_fixture();
-        let full = run(&t, cfg(4, 2));
-        for mode in SampleMode::ALL {
-            let spec = SampleSpec {
-                rate: 1.0,
-                ..SampleSpec::new(mode)
-            };
-            let plan = SamplePlan::for_trace(&t, &spec);
-            let sampled = run_sampled(&t, cfg(4, 2), &plan);
-            assert_eq!(
-                sampled.stats, full,
-                "{mode:?} at rate 1.0 must be full replay"
-            );
-            assert_eq!(
-                sampled.warm_mem,
-                simcore::stats::MissStats::default(),
-                "{mode:?} at rate 1.0 must have no warm outcomes"
-            );
-        }
-    }
-
-    #[test]
-    fn sampled_replay_is_deterministic_and_preserves_sync() {
-        use simcore::sample::{SampleMode, SamplePlan, SampleSpec};
-        let t = sampled_fixture();
-        for mode in SampleMode::ALL {
-            let spec = SampleSpec {
-                rate: 0.25,
-                interval_ops: 64,
-                warmup_ops: 128,
-                ..SampleSpec::new(mode)
-            };
-            let plan = SamplePlan::for_trace(&t, &spec);
-            let a = run_sampled(&t, cfg(4, 2), &plan);
-            let b = run_sampled(&t, cfg(4, 2), &plan);
-            assert_eq!(a, b, "{mode:?}: sampled replay must be deterministic");
-            assert!(a.stats.exec_time > 0);
-            // Fewer measured ops than the trace holds: the sampled
-            // replay must do strictly less measured work, with the
-            // warm remainder reported functionally on the side.
-            let full = run(&t, cfg(4, 2));
-            assert!(
-                a.stats.mem.reads() < full.mem.reads(),
-                "{mode:?}: sampling must measure fewer reads"
-            );
-            assert!(
-                a.warm_mem.reads() > 0,
-                "{mode:?}: warm replay must observe functional outcomes"
-            );
-            // Warm time is on the clock but in no breakdown component.
-            for bd in &a.stats.per_proc {
-                assert!(bd.total() <= a.stats.exec_time);
-            }
-        }
     }
 }

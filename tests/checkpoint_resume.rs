@@ -146,6 +146,73 @@ fn resume_from_complete_journal_executes_nothing() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A journal line written by the removed sampled-replay mode, verbatim:
+/// `lu`/`inf`/cluster 2 at 8 processors under the default periodic
+/// spec. Its statistics count only the measured intervals.
+const LEGACY_SAMPLED_ENTRY: &str = concat!(
+    "{\"app\":\"lu\",\"cache\":\"inf\",\"cluster\":2,\"status\":\"ok\",\"attempts\":1",
+    ",\"wall_seconds\":0.000759686,\"sampling\":{\"mode\":\"periodic\",\"rate\":0.25",
+    ",\"warmup_ops\":2048,\"interval_ops\":256,\"seed\":6501816801244897005",
+    ",\"ops_total\":6356,\"ops_measured\":2091,\"ops_warm\":4265,\"ops_simulated\":6356",
+    ",\"weight_total\":740064,\"weight_measured\":243440,\"weight_warm\":496624",
+    ",\"warm_read_hits\":2443,\"warm_read_misses\":400,\"warm_write_hits\":1093",
+    ",\"warm_write_misses\":0,\"warm_upgrade_misses\":24,\"warm_cpu_cycles\":496624",
+    ",\"warm_load_cycles\":39790,\"warm_merge_cycles\":19700},\"exec_time\":188729",
+    ",\"per_proc\":[[27615,2720,0,121768],[30349,2320,0,101504],[30348,4220,1200,81608],[30348,3120,2300,70784],[28300,3520,0,109344],[30288,3490,0,84808],[30288,5090,1600,59744],[36104,5490,1600,43848]]",
+    ",\"mem\":{\"read_hits\":821,\"write_hits\":27,\"read_misses\":656,\"write_misses\":0",
+    ",\"upgrade_misses\":488,\"merge_stalls\":67,\"by_latency\":[509,0,147,0]",
+    ",\"invalidations\":0,\"evictions\":0,\"writebacks\":0,\"local_satisfied\":509",
+    ",\"bus_transfers\":0,\"bus_invalidations\":0}}",
+);
+
+/// A journal holding a legacy sampled entry resumes: every full-trace
+/// entry is restored, the sampled cell alone is re-executed, and the
+/// result equals the uninterrupted full run's.
+#[test]
+fn resume_reexecutes_a_legacy_sampled_entry() {
+    let dir = temp_dir("resume-legacy");
+    let path = dir.join("j.jsonl");
+    let journal = Journal::create(&path, TOOL, "small", PROCS).unwrap();
+    let run = spec().checkpoint(&journal).run_with(|_| {});
+    let reference = manifest_of(&run).stats_json().to_string();
+    let legacy_key = ("lu".to_string(), "inf".to_string(), 2);
+    let (legacy, full): (Vec<JournalEntry>, Vec<JournalEntry>) = journal
+        .entries()
+        .into_iter()
+        .partition(|e| e.key() == legacy_key);
+    assert_eq!(legacy.len(), 1);
+
+    let header = JournalHeader {
+        tool: TOOL.to_string(),
+        size: "small".to_string(),
+        procs: PROCS,
+    };
+    let mut text = render_journal(&header, &full);
+    text.push_str(LEGACY_SAMPLED_ENTRY);
+    text.push('\n');
+    std::fs::write(&path, text).unwrap();
+
+    let journal = Journal::resume(&path, TOOL, "small", PROCS).unwrap();
+    let prefill = journal.entries();
+    assert_eq!(prefill.len(), TOTAL_SIMS, "the legacy line still parses");
+    let sampled = prefill.iter().find(|e| e.sampling.is_some()).unwrap();
+    assert_eq!(sampled.key(), legacy_key);
+    assert_ne!(sampled.stats, legacy[0].stats);
+    let resumed = spec()
+        .checkpoint(&journal)
+        .prefill(prefill)
+        .run_with(|_| {});
+    assert!(resumed.is_complete());
+    assert_eq!(resumed.resumed_cells(), TOTAL_SIMS - 1);
+    assert_eq!(resumed.timing.items, 1, "only the sampled cell re-executes");
+    assert_eq!(manifest_of(&resumed).stats_json().to_string(), reference);
+    let rerun = journal.entries();
+    let fresh = rerun.iter().rev().find(|e| e.key() == legacy_key).unwrap();
+    assert_eq!(fresh.sampling, None);
+    assert_eq!(fresh.stats, legacy[0].stats);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 fn entry_with(app: &str, cache: &str, cluster: u32, salt: u64) -> JournalEntry {
     JournalEntry {
         app: app.to_string(),
